@@ -30,6 +30,14 @@ cargo build --release --offline
 echo "== tier-1: test suite"
 cargo test -q --workspace --offline
 
+echo "== perfbench: benchmark self-tests"
+# perfbench is a package of its own, outside the workspace, and calls the
+# engine's API directly (Catalog::insert, build_indexes, with_catalog_mut,
+# the server's Session). An API change that breaks it fails here rather
+# than in a benchmark run. Release build: the suite's compiles are slow
+# in debug.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== plan cache: compile-once serve-many gate"
 # Fully offline and deterministic (fixed statement mix, fixed catalog).
 # Fails if the repeated-statement path re-enters memo exploration, if the

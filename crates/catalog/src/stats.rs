@@ -59,6 +59,9 @@ impl ColumnStats {
 pub struct TableStats {
     pub row_count: u64,
     pub columns: Vec<ColumnStats>,
+    /// The options these statistics were computed with; an automatic
+    /// recalculation reuses them.
+    pub options: AnalyzeOptions,
 }
 
 impl TableStats {
@@ -96,7 +99,7 @@ impl TableStats {
             };
             columns.push(ColumnStats { ndv: ndv as f64, null_count, min, max, histogram });
         }
-        TableStats { row_count, columns }
+        TableStats { row_count, columns, options: opts.clone() }
     }
 
     pub fn column(&self, c: usize) -> &ColumnStats {

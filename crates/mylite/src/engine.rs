@@ -766,7 +766,7 @@ impl Engine {
     ) -> Result<(R, CacheOutcome)> {
         let knobs = self.knobs(&SessionOpts::default());
         let cat = rlock(&self.catalog);
-        self.serve_cached_knobs(&cat, sql, opt, &knobs, |_, planned| f(planned))
+        self.serve_cached_knobs(&cat, sql, opt, &knobs, |_, planned| f(planned))?.select()
     }
 
     /// The serve path proper, against a catalog snapshot the caller holds.
@@ -775,6 +775,10 @@ impl Engine {
     /// cannot be stale for *this* execution no matter how DDL races — the
     /// write lock serializes after us, and the next serve's snapshot sees
     /// the bump and invalidates.
+    ///
+    /// An INSERT never enters the cache: its digest skips the lookup, and
+    /// the miss path's parse hands it back as [`Served::Insert`] for the
+    /// caller to run once it has released its catalog read guard.
     fn serve_cached_knobs<R>(
         &self,
         cat: &Catalog,
@@ -782,8 +786,8 @@ impl Engine {
         opt: &dyn CostBasedOptimizer,
         knobs: &Knobs,
         f: impl FnOnce(&Catalog, &PlannedQuery) -> Result<R>,
-    ) -> Result<(R, CacheOutcome)> {
-        let digest = token_digest(sql);
+    ) -> Result<Served<R>> {
+        let digest = token_digest(sql).filter(|d| d.leading_keyword != Some("INSERT"));
         let version = cat.version();
         let mut outcome = CacheOutcome::Miss;
         if let Some(d) = &digest {
@@ -804,7 +808,7 @@ impl Engine {
                     let mut planned = entry.planned();
                     if rebind_planned(&mut planned, &d.binds).is_ok() {
                         let r = f(cat, &planned)?;
-                        return Ok((r, CacheOutcome::Hit));
+                        return Ok(Served::Select(r, CacheOutcome::Hit));
                     }
                     drop(planned);
                     self.plan_cache.discard(&key);
@@ -814,9 +818,12 @@ impl Engine {
                 Lookup::Miss => {}
             }
         }
-        // Miss, invalidation, or unlexable input (the parser produces the
-        // real error for the latter).
-        let stmt = parse_select_text(sql)?;
+        // Miss, invalidation, INSERT, or unlexable input (the parser
+        // produces the real error for the latter).
+        let stmt = match parse(sql)? {
+            Statement::Select(s) => s,
+            Statement::Insert { table, rows } => return Ok(Served::Insert { table, rows }),
+        };
         let p = parameterize(&stmt);
         let planned = self.plan_select_knobs(cat, &p.stmt, opt, None, knobs)?;
         let r = f(cat, &planned)?;
@@ -838,7 +845,7 @@ impl Engine {
                 }
             }
         }
-        Ok((r, outcome))
+        Ok(Served::Select(r, outcome))
     }
 
     /// Plan through the plan cache, returning an owned copy of the plan.
@@ -860,7 +867,7 @@ impl Engine {
     ) -> Result<(PlannedQuery, CacheOutcome)> {
         let knobs = self.knobs(session);
         let cat = rlock(&self.catalog);
-        self.serve_cached_knobs(&cat, sql, opt, &knobs, |_, planned| Ok(planned.clone()))
+        self.serve_cached_knobs(&cat, sql, opt, &knobs, |_, planned| Ok(planned.clone()))?.select()
     }
 
     /// Run a SELECT through the plan cache (executes straight off the
@@ -871,7 +878,7 @@ impl Engine {
 
     /// [`Engine::query_cached`] under per-session knob overrides, returning
     /// the cache outcome alongside the results (the server reports it to
-    /// clients).
+    /// clients). An INSERT runs too, uncached ([`CacheOutcome::Uncached`]).
     pub fn query_cached_opts(
         &self,
         sql: &str,
@@ -883,9 +890,16 @@ impl Engine {
         // the gate must hold neither the catalog nor the cache hostage.
         let _permit = self.admit(&knobs)?;
         let cat = rlock(&self.catalog);
-        self.serve_cached_knobs(&cat, sql, opt, &knobs, |cat, planned| {
+        let served = self.serve_cached_knobs(&cat, sql, opt, &knobs, |cat, planned| {
             self.governed_execute(cat, planned, opt, &knobs)
-        })
+        })?;
+        drop(cat);
+        match served {
+            Served::Select(out, outcome) => Ok((out, outcome)),
+            Served::Insert { table, rows } => {
+                Ok((self.execute_insert(&table, rows)?, CacheOutcome::Uncached))
+            }
+        }
     }
 
     /// EXPLAIN through the plan cache: the banner's first line gains a
@@ -903,7 +917,7 @@ impl Engine {
     ) -> Result<String> {
         let knobs = self.knobs(session);
         let cat = rlock(&self.catalog);
-        let (text, outcome) = self.serve_cached_knobs(&cat, sql, opt, &knobs, |cat, planned| {
+        let served = self.serve_cached_knobs(&cat, sql, opt, &knobs, |cat, planned| {
             let mut out = String::new();
             for (i, b) in planned.branches.iter().enumerate() {
                 if i > 0 {
@@ -913,6 +927,7 @@ impl Engine {
             }
             Ok(out)
         })?;
+        let (text, outcome) = served.select()?;
         // Suffix the banner line (first line) with the cache state.
         Ok(match text.split_once('\n') {
             Some((banner, rest)) => {
@@ -1284,6 +1299,11 @@ impl Engine {
         self.governed_execute(&cat, &planned, opt, &knobs)
     }
 
+    /// `INSERT ... VALUES`: evaluate the rows, then append them under the
+    /// catalog write lock. [`Catalog::insert`] takes all rows or none,
+    /// maintains the indexes in place and keeps the catalog version, so
+    /// cached plans stay valid (unless the append triggers an automatic
+    /// re-ANALYZE).
     fn execute_insert(
         &self,
         table: &str,
@@ -1301,13 +1321,11 @@ impl Engine {
             materialized.push(out);
         }
         let n = materialized.len();
-        // Values materialized, now the DDL critical section: the write
-        // lock drains in-flight serves, and the index rebuild bumps the
-        // catalog version so stale cached plans invalidate.
+        // Values materialized; the write lock drains in-flight serves, so
+        // no serve sees a half-applied statement.
         self.with_catalog_mut(|cat| -> Result<()> {
             let id = cat.table_by_name(table)?.id;
-            cat.insert(id, materialized)?;
-            cat.build_indexes(id)
+            cat.insert(id, materialized)
         })?;
         Ok(QueryOutput {
             columns: vec!["rows_inserted".into()],
@@ -1386,6 +1404,24 @@ fn rebind_planned(planned: &mut PlannedQuery, binds: &[Value]) -> Result<()> {
     match err {
         Some(e) => Err(e),
         None => Ok(()),
+    }
+}
+
+/// What [`Engine::serve_cached_knobs`] did with a statement.
+enum Served<R> {
+    /// A SELECT, served to the caller's closure.
+    Select(R, CacheOutcome),
+    /// An INSERT, parsed but not run: it needs the catalog write lock.
+    Insert { table: String, rows: Vec<Vec<taurus_sql::AstExpr>> },
+}
+
+impl<R> Served<R> {
+    /// The SELECT result, for entry points that serve nothing else.
+    fn select(self) -> Result<(R, CacheOutcome)> {
+        match self {
+            Served::Select(r, outcome) => Ok((r, outcome)),
+            Served::Insert { .. } => Err(Error::semantic("expected SELECT, got INSERT")),
+        }
     }
 }
 
@@ -1580,6 +1616,46 @@ mod tests {
         assert_eq!(out.rows[0][0], Value::Int(1));
         let q = e.query("SELECT dname FROM dept WHERE did = 30").unwrap();
         assert_eq!(q.rows[0][0], Value::str("hr"));
+    }
+
+    #[test]
+    fn failed_multi_row_insert_changes_nothing() {
+        let e = engine();
+        let version = e.catalog().version();
+        let err = e.execute_sql_shared("INSERT INTO dept VALUES (30, 'hr'), ('x', 'y')");
+        assert!(matches!(err, Err(Error::Semantic(_))), "{err:?}");
+        let count = e.query("SELECT COUNT(*) FROM dept").unwrap();
+        assert_eq!(count.rows, vec![vec![Value::Int(2)]], "the valid prefix is not kept");
+        assert!(e.query("SELECT dname FROM dept WHERE did = 30").unwrap().rows.is_empty());
+        assert_eq!(e.catalog().version(), version);
+        // The same statement, corrected, lands in the heap and the index.
+        e.execute_sql_shared("INSERT INTO dept VALUES (30, 'hr'), (40, 'it')").unwrap();
+        let q = e.query("SELECT dname FROM dept WHERE did = 30").unwrap();
+        assert_eq!(q.rows, vec![vec![Value::str("hr")]]);
+        // Two rows onto two drift the statistics past 10%: one re-ANALYZE.
+        let cat = e.catalog();
+        assert_eq!(cat.version(), version + 1);
+        assert_eq!(cat.table_by_name("dept").unwrap().stats.as_ref().unwrap().row_count, 4);
+    }
+
+    #[test]
+    fn insert_enforces_unique_indexes() {
+        let e = engine();
+        match e.execute_sql_shared("INSERT INTO dept VALUES (10, 'dup')") {
+            Err(Error::Semantic(msg)) => {
+                assert!(msg.contains("dept_pk") && msg.contains("(10)"), "{msg}")
+            }
+            other => panic!("expected a unique-key error, got {other:?}"),
+        }
+        // A duplicate within one statement conflicts as well.
+        assert!(e.execute_sql_shared("INSERT INTO dept VALUES (50, 'a'), (50, 'b')").is_err());
+        let q = e.query("SELECT dname FROM dept WHERE did = 10").unwrap();
+        assert_eq!(q.rows, vec![vec![Value::str("eng")]]);
+        assert!(e.query("SELECT did FROM dept WHERE did = 50").unwrap().rows.is_empty());
+        // Non-unique columns take duplicates and NULLs.
+        e.execute_sql_shared("INSERT INTO emp VALUES (5, 10, 100), (6, NULL, 100)").unwrap();
+        let q = e.query("SELECT COUNT(*) FROM emp WHERE salary = 100").unwrap();
+        assert_eq!(q.rows, vec![vec![Value::Int(3)]]);
     }
 
     #[test]

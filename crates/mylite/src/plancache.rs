@@ -117,6 +117,8 @@ pub enum CacheOutcome {
     /// a worst q-error above the session threshold; it was dropped and the
     /// statement recompiled with the observed cardinalities injected.
     Reoptimized,
+    /// The statement never enters the cache (INSERT).
+    Uncached,
 }
 
 impl CacheOutcome {
@@ -126,6 +128,7 @@ impl CacheOutcome {
             CacheOutcome::Miss => "miss",
             CacheOutcome::Invalidated => "invalidated",
             CacheOutcome::Reoptimized => "reoptimized",
+            CacheOutcome::Uncached => "uncached",
         }
     }
 }

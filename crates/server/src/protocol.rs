@@ -73,8 +73,8 @@ const ERR_MEMORY: u8 = 10;
 const ERR_INTERNAL: u8 = 11;
 
 /// How a statement was served, as reported to the client. Mirrors the
-/// engine's [`CacheOutcome`] plus `Uncached` for statements that bypass
-/// the plan cache entirely (INSERT).
+/// engine's [`CacheOutcome`]; `Uncached` marks statements that bypass the
+/// plan cache entirely (INSERT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeOutcome {
     Miss,
@@ -91,6 +91,7 @@ impl From<CacheOutcome> for ServeOutcome {
             CacheOutcome::Hit => ServeOutcome::Hit,
             CacheOutcome::Invalidated => ServeOutcome::Invalidated,
             CacheOutcome::Reoptimized => ServeOutcome::Reoptimized,
+            CacheOutcome::Uncached => ServeOutcome::Uncached,
         }
     }
 }

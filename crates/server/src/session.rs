@@ -7,7 +7,7 @@
 //! set per statement, so nothing here touches engine-global knobs and
 //! sessions cannot perturb each other.
 
-use crate::protocol::{Reply, Request, ServeOutcome};
+use crate::protocol::{Reply, Request};
 use mylite::{CostBasedOptimizer, Engine, SessionOpts};
 use std::sync::Arc;
 use taurus_common::error::Result;
@@ -77,16 +77,10 @@ impl Session {
 
     fn run_statement(&self, opts: &SessionOpts, sql: &str) -> Result<Reply> {
         let effective = layer_opts(&self.opts, opts);
-        // INSERT bypasses the plan cache (it is DDL-adjacent: catalog write
-        // lock, version bump); everything else is a cached SELECT serve.
-        if sql.trim_start().get(..6).is_some_and(|p| p.eq_ignore_ascii_case("insert")) {
-            let out = self.engine.execute_sql_shared(sql)?;
-            return Ok(Reply::Rows {
-                outcome: ServeOutcome::Uncached,
-                columns: out.columns,
-                rows: out.rows,
-            });
-        }
+        // One entry point for both statement kinds: a SELECT is served
+        // through the plan cache; an INSERT is recognised by the parse on
+        // the cache's miss path and runs uncached under the catalog write
+        // lock, leaving the cached SELECTs valid.
         let (out, outcome) =
             self.engine.query_cached_opts(sql, self.optimizer.as_ref(), &effective)?;
         Ok(Reply::Rows { outcome: outcome.into(), columns: out.columns, rows: out.rows })

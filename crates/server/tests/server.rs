@@ -84,6 +84,31 @@ fn insert_over_the_wire_is_visible_to_other_sessions() {
 }
 
 #[test]
+fn insert_is_routed_by_the_parse_not_its_first_bytes() {
+    let (engine, handle) = start(10);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let sql = "SELECT name FROM emp WHERE id = 40";
+    assert_eq!(c.query(sql).unwrap().outcome, ServeOutcome::Miss);
+    let version = engine.catalog().version();
+    let ins = c.query("-- note\nINSERT INTO emp VALUES (40, 1, 7, 'x')").unwrap();
+    assert_eq!(ins.outcome, ServeOutcome::Uncached);
+    assert_eq!(ins.rows, vec![vec![Value::Int(1)]]);
+    assert_eq!(engine.catalog().version(), version, "one row onto ten is under the drift rule");
+    let seen = c.query(sql).unwrap();
+    assert_eq!(seen.outcome, ServeOutcome::Hit, "the cached plan survives the insert");
+    assert_eq!(seen.rows, vec![vec![Value::str("x")]]);
+    // A unique-key conflict is a typed error, and the session carries on.
+    match c.query("INSERT INTO emp VALUES (40, 2, 8, 'dup')") {
+        Err(Error::Semantic(msg)) => assert!(msg.contains("emp_pk"), "{msg}"),
+        other => panic!("expected a typed unique-key error, got {other:?}"),
+    }
+    assert_eq!(c.query(sql).unwrap().rows, vec![vec![Value::str("x")]]);
+    let stats = engine.plan_cache_stats();
+    assert_eq!((stats.hits, stats.misses), (2, 1), "INSERTs never touch the cache");
+    handle.stop();
+}
+
+#[test]
 fn session_set_state_is_isolated_between_connections() {
     let (_engine, handle) = start(2000);
     let slow = "SELECT COUNT(*) FROM emp a WHERE salary > \

@@ -69,6 +69,8 @@ pub struct TokenDigest {
     pub fingerprint: u64,
     /// Literal values in token order.
     pub binds: Vec<Value>,
+    /// The first token, when it is a keyword (`SELECT`, `INSERT`, ...).
+    pub leading_keyword: Option<&'static str>,
 }
 
 /// Digest a statement's token stream, or `None` if it doesn't lex (the
@@ -85,6 +87,8 @@ pub fn token_digest(input: &str) -> Option<TokenDigest> {
     let mut i = 0usize;
     // Keyword of the immediately preceding token ("" otherwise).
     let mut prev_kw: &str = "";
+    let mut leading_keyword = None;
+    let mut first_token = true;
     while i < bytes.len() {
         let c = bytes[i];
         if c.is_ascii_whitespace() {
@@ -99,6 +103,7 @@ pub fn token_digest(input: &str) -> Option<TokenDigest> {
             continue;
         }
         let start = i;
+        let first = std::mem::replace(&mut first_token, false);
         // Words: keywords hash canonicalized (case-insensitive), plain
         // identifiers hash as written (the parser keeps their case).
         if c.is_ascii_alphabetic() || c == b'_' {
@@ -108,6 +113,9 @@ pub fn token_digest(input: &str) -> Option<TokenDigest> {
             let word = &input[start..i];
             match keyword(word) {
                 Some(kw) => {
+                    if first {
+                        leading_keyword = Some(kw);
+                    }
                     h.byte(b'K');
                     h.text(kw);
                     prev_kw = kw;
@@ -258,7 +266,7 @@ pub fn token_digest(input: &str) -> Option<TokenDigest> {
         i += 1;
         prev_kw = "";
     }
-    Some(TokenDigest { fingerprint: h.0, binds })
+    Some(TokenDigest { fingerprint: h.0, binds, leading_keyword })
 }
 
 /// FNV-1a 64-bit: deterministic, dependency-free, good avalanche for short
@@ -821,6 +829,15 @@ mod tests {
         let d = token_digest("SELECT d + INTERVAL '4' MONTH FROM t").unwrap();
         assert_ne!(c.fingerprint, d.fingerprint, "INTERVAL quantity is structural");
         assert!(c.binds.is_empty());
+    }
+
+    #[test]
+    fn token_digest_reports_the_leading_keyword() {
+        let lead = |sql: &str| token_digest(sql).unwrap().leading_keyword;
+        assert_eq!(lead("-- note\n  insert INTO t VALUES (1)"), Some("INSERT"));
+        assert_eq!(lead("SELECT a FROM t WHERE b IN (SELECT c FROM u)"), Some("SELECT"));
+        assert_eq!(lead("(SELECT a FROM t)"), None, "a symbol leads");
+        assert_eq!(lead("t INSERT"), None, "an identifier leads");
     }
 
     #[test]

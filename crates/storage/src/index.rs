@@ -13,7 +13,7 @@ use crate::table::{RowId, TableData};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use taurus_common::Value;
+use taurus_common::{Row, Value};
 
 /// A composite key with a total order (NULLs first), usable in a `BTreeMap`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,12 +63,31 @@ pub struct OrderedIndex {
 impl OrderedIndex {
     /// Build the index from the table's current contents.
     pub fn build(def: IndexDef, table: &TableData) -> OrderedIndex {
-        let mut map: BTreeMap<IndexKey, Vec<RowId>> = BTreeMap::new();
+        let mut ix = OrderedIndex { def, map: BTreeMap::new() };
         for (id, row) in table.scan() {
-            let key = IndexKey(def.columns.iter().map(|&c| row[c].clone()).collect());
-            map.entry(key).or_default().push(id);
+            ix.insert(id, row);
         }
-        OrderedIndex { def, map }
+        ix
+    }
+
+    /// Place one heap row. `id` must exceed every row id already indexed
+    /// (heap rows are append-only), so each key's row-id list stays in heap
+    /// order and the result equals [`OrderedIndex::build`] over the heap.
+    pub fn insert(&mut self, id: RowId, row: &Row) {
+        let key = self.key_of(row);
+        let ids = self.map.entry(key).or_default();
+        assert!(ids.last().is_none_or(|&last| last < id), "row ids must grow");
+        ids.push(id);
+    }
+
+    /// The key this index files `row` under.
+    pub fn key_of(&self, row: &Row) -> IndexKey {
+        IndexKey(self.def.columns.iter().map(|&c| row[c].clone()).collect())
+    }
+
+    /// Whether some indexed row has exactly this key.
+    pub fn contains_key(&self, key: &IndexKey) -> bool {
+        self.map.contains_key(key)
     }
 
     pub fn def(&self) -> &IndexDef {
@@ -209,6 +228,19 @@ mod tests {
         // Prefix lookup returns both b-values for a=1.
         let pre: Vec<RowId> = idx.lookup(&[Value::Int(1)]).collect();
         assert_eq!(pre, vec![0, 1]);
+    }
+
+    #[test]
+    fn inserting_row_by_row_equals_a_build() {
+        let (t, built) = sample();
+        let mut ix = OrderedIndex::build(built.def().clone(), &TableData::new(t.schema().clone()));
+        for (id, row) in t.scan() {
+            ix.insert(id, row);
+        }
+        assert_eq!(ix.scan_ordered().collect::<Vec<_>>(), built.scan_ordered().collect::<Vec<_>>());
+        assert_eq!(ix.num_keys(), built.num_keys());
+        assert!(ix.contains_key(&ix.key_of(t.row(3))));
+        assert!(!ix.contains_key(&IndexKey(vec![Value::Int(4)])));
     }
 
     #[test]

@@ -9,8 +9,8 @@ pub type RowId = u32;
 /// A heap of rows with a fixed schema.
 ///
 /// Rows are append-only (the workloads are read-mostly decision-support
-/// benchmarks, like the paper's), which keeps `RowId`s stable and lets
-/// indexes be built once after load.
+/// benchmarks, like the paper's), which keeps `RowId`s stable: a new row
+/// always has the largest id, so indexes take it in place.
 #[derive(Debug, Clone, Default)]
 pub struct TableData {
     schema: Schema,
@@ -73,6 +73,12 @@ impl TableData {
         for r in rows {
             self.push(r).expect("bulk-loaded row must match schema");
         }
+    }
+
+    /// Drop every row from position `len` on: the undo of an append that
+    /// a later check rejected. Row ids below `len` are unaffected.
+    pub fn truncate(&mut self, len: usize) {
+        self.rows.truncate(len);
     }
 
     pub fn row(&self, id: RowId) -> &Row {
